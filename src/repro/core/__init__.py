@@ -67,12 +67,14 @@ from .store import (
     RecordVerification,
     RecordWriter,
     load_provenance,
+    load_provenance_row,
     load_record,
     load_record_frames,
     record_frame_sizes,
     record_index_bytes,
     record_manifest,
     save_record,
+    stored_frame_sizes,
     verify_record,
 )
 
@@ -103,12 +105,14 @@ __all__ = [
     "RecordVerification",
     "RecordWriter",
     "load_provenance",
+    "load_provenance_row",
     "load_record",
     "load_record_frames",
     "record_frame_sizes",
     "record_index_bytes",
     "record_manifest",
     "save_record",
+    "stored_frame_sizes",
     "verify_record",
     "FIRST_OCUR",
     "FIXED_DUPL",

@@ -177,8 +177,12 @@ class CheckpointDiff:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def _body_bytes(self) -> bytes:
-        """Metadata + payload, the variable part of the frame."""
+    def _body_parts(self) -> list:
+        """Metadata + payload, the variable part of the frame, in pieces.
+
+        The payload is passed through uncopied, so a caller hashing and
+        joining the pieces copies it once, not once per concatenation.
+        """
         parts = [self.first_ids.astype("<u4").tobytes()]
         shift = np.empty((self.num_shift, 3), dtype="<u4")
         shift[:, 0] = self.shift_ids
@@ -188,7 +192,7 @@ class CheckpointDiff:
         if self.bitmap is not None:
             parts.append(self.bitmap.tobytes())
         parts.append(self.payload)
-        return b"".join(parts)
+        return parts
 
     def _pack_header(self) -> bytes:
         bitmap_bytes = self.bitmap.nbytes if self.bitmap is not None else 0
@@ -208,9 +212,9 @@ class CheckpointDiff:
 
     def content_digest(self) -> bytes:
         """SHA-256 over the frame minus its digest field (header + body)."""
-        h = hashlib.sha256()
-        h.update(self._pack_header())
-        h.update(self._body_bytes())
+        h = hashlib.sha256(self._pack_header())
+        for part in self._body_parts():
+            h.update(part)
         return h.digest()
 
     def frame_digest(self) -> str:
@@ -226,10 +230,9 @@ class CheckpointDiff:
 
     def to_bytes(self) -> bytes:
         """Serialize to the versioned little-endian wire format (v2)."""
-        header = self._pack_header()
-        body = self._body_bytes()
-        digest = hashlib.sha256(header + body).digest()
-        out = header + digest + body
+        out = b"".join(
+            [self._pack_header(), self.content_digest(), *self._body_parts()]
+        )
         if len(out) != self.serialized_size:  # pragma: no cover - invariant
             raise SerializationError(
                 f"encoded size {len(out)} != predicted {self.serialized_size}"
@@ -283,9 +286,9 @@ class CheckpointDiff:
                 f"diff blob length {len(blob)} != expected {need}"
             )
         if stored_digest is not None and verify:
-            actual = hashlib.sha256()
-            actual.update(blob[: _HEADER.size])
-            actual.update(blob[_HEADER.size + DIGEST_BYTES :])
+            view = memoryview(blob)
+            actual = hashlib.sha256(view[: _HEADER.size])
+            actual.update(view[_HEADER.size + DIGEST_BYTES :])
             if actual.digest() != stored_digest:
                 raise IntegrityError(
                     f"checkpoint {ckpt_id}: frame digest mismatch "
@@ -355,4 +358,4 @@ def encode_legacy_v1(diff: CheckpointDiff) -> bytes:
         bitmap_bytes,
         len(diff.payload),
     )
-    return header + diff._body_bytes()
+    return b"".join([header, *diff._body_parts()])

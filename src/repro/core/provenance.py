@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import telemetry
 from ..telemetry import events
@@ -378,22 +379,10 @@ class ProvenanceTable:
     chunk_size: int
     src_ckpt: np.ndarray  # int32, shape (num_checkpoints, num_chunks)
     src_off: np.ndarray  # int64, shape (num_checkpoints, num_chunks)
-    #: Rows the on-disk index covers in full — equals the rows decoded
-    #: here except after a selective ``upto`` load of a v3 index, which
-    #: skips row-groups past the target checkpoint.
-    index_rows: Optional[int] = None
 
     @property
     def num_checkpoints(self) -> int:
         return int(self.src_ckpt.shape[0])
-
-    @property
-    def total_checkpoints(self) -> int:
-        """Checkpoints the full on-disk index covers (≥ rows decoded)."""
-        return (
-            self.index_rows if self.index_rows is not None
-            else self.num_checkpoints
-        )
 
     @property
     def num_chunks(self) -> int:
@@ -467,7 +456,16 @@ class ProvenanceTable:
         if magic != _TABLE_MAGIC:
             raise IntegrityError(f"bad provenance index magic {magic!r}")
         if version == _TABLE_VERSION_V3:
-            return read_v3(blob, verify=verify)
+            _header, groups = scan_v3(blob)
+            src_ckpt, src_off = decode_v3_groups(
+                blob, groups, n_chunks, verify=verify
+            )
+            return cls(
+                data_len=data_len,
+                chunk_size=chunk_size,
+                src_ckpt=src_ckpt,
+                src_off=src_off,
+            )
         if version not in (_TABLE_VERSION_V1, _TABLE_VERSION):
             raise IntegrityError(f"unsupported provenance index version {version}")
         off = _TABLE_HEADER.size
@@ -570,7 +568,9 @@ def scan_v3(
     """Structurally walk a v3 blob: prologue + group framing, no bodies.
 
     Verifies the header digest and group framing only — group *bodies*
-    are hashed later, and only for the groups a caller actually decodes.
+    are hashed later, and only for the groups a caller actually decodes:
+    a restore of checkpoint K hashes and decodes just the group holding
+    row K (:func:`decode_v3_row`), a full-table load every group.
     With *max_rows* (the manifest's authoritative row count) the walk
     stops once that many rows are covered and tolerates trailing bytes:
     a crash between the group append and the manifest update leaves an
@@ -668,37 +668,31 @@ def decode_v3_groups(
     )
 
 
-def read_v3(
-    blob: bytes,
-    rows: Optional[int] = None,
-    upto: Optional[int] = None,
-    verify: bool = True,
-) -> ProvenanceTable:
-    """Load a v3 blob, optionally decoding only the groups a restore needs.
+def decode_v3_row(
+    blob: bytes, header: dict, groups: Sequence[RowGroup], ckpt_id: int
+) -> ProvenanceIndex:
+    """Verify and decode only the row-group holding checkpoint *ckpt_id*.
 
-    *rows* is the authoritative row count (the manifest's, which lags the
-    header across a crashed append); *upto* restricts decoding — and
-    digest verification — to the groups covering checkpoints ``0..upto``,
-    so a restore of checkpoint K never touches groups past K and damage
-    in later groups cannot block earlier restores.
+    Every row is fully resolved through the chain at append time, so a
+    restore of checkpoint K needs row K alone — never the rows before or
+    after it.  *header* and *groups* come from :func:`scan_v3`.
     """
-    header, groups = scan_v3(blob, max_rows=rows)
-    total = rows if rows is not None else header["num_checkpoints"]
-    if upto is not None:
-        if upto >= total:
-            raise RestoreError(
-                f"checkpoint {upto} outside indexed chain of {total}"
-            )
-        groups = [g for g in groups if g.first_ckpt <= upto]
-    src_ckpt, src_off = decode_v3_groups(
-        blob, groups, header["num_chunks"], verify=verify
-    )
-    return ProvenanceTable(
+    for g in groups:
+        if g.first_ckpt <= ckpt_id < g.first_ckpt + g.num_rows:
+            break
+    else:
+        covered = groups[-1].first_ckpt + groups[-1].num_rows if groups else 0
+        raise RestoreError(
+            f"checkpoint {ckpt_id} outside indexed chain of {covered}"
+        )
+    src_ckpt, src_off = decode_v3_groups(blob, [g], header["num_chunks"])
+    r = ckpt_id - g.first_ckpt
+    return ProvenanceIndex(
+        ckpt_id=ckpt_id,
         data_len=header["data_len"],
         chunk_size=header["chunk_size"],
-        src_ckpt=src_ckpt,
-        src_off=src_off,
-        index_rows=total,
+        src_ckpt=src_ckpt[r],
+        src_off=src_off[r],
     )
 
 
@@ -783,6 +777,10 @@ def materialize_index(
 
     ``payload_of(t)`` must return diff *t*'s (decompressed) payload as a
     uint8 array; it is called once per checkpoint the index references.
+    Full chunks move as whole ``chunk_size`` rows: one slice when a
+    source's offsets form a single contiguous run, otherwise one row
+    gather through a sliding-window view of the payload (any byte
+    offset, no per-byte index array).  The tail chunk is copied alone.
 
     ``[chunk_lo, chunk_hi)`` restricts the gather to a chunk range — the
     sharding primitive: each simulated GPU of a fleet restore
@@ -833,9 +831,9 @@ def materialize_index(
                 start = int(f_offs[0])
                 body[rows] = payload[start : start + n * cs].reshape(n, cs)
             else:
-                body[rows] = payload[
-                    f_offs[:, None] + np.arange(cs, dtype=np.int64)
-                ]
+                # Row r of the window view is the cs bytes at offset r,
+                # so one fancy index gathers whole chunks at any offset.
+                body[rows] = sliding_window_view(payload, cs)[f_offs]
         for i in np.nonzero(~is_full)[0]:
             b0, b1 = spec.chunk_bounds(int(chunks[i]))
             off = int(offs[i])
@@ -993,18 +991,24 @@ def restore_record_indexed(
     """Reconstruct a checkpoint from a stored record, parsing only the
     frames its provenance index names.
 
+    Only the target's index row is hashed and decoded
+    (:func:`~repro.core.store.load_provenance_row`): damage in another
+    row-group cannot block this restore, while damage to the target's
+    own group, the header or the manifest chain digest still raises.
+    The manifest is read once and handed to every loader.
+
     Falls back to loading (and indexing) the full record when the record
     predates the index or ``scrub=True`` (scrubbing validates the whole
-    chain, which needs every frame).  Frame and index integrity checks
-    (PR 2's v2 digests) apply on both paths.
+    chain, which needs every frame).  The frame digests (manifest and
+    embedded) are checked on both paths.
     """
     from .store import (  # local import: store ↔ provenance layering
-        load_provenance,
+        load_provenance_row,
         load_record,
         load_record_frames,
-        record_frame_sizes,
         record_index_bytes,
         record_manifest,
+        stored_frame_sizes,
     )
 
     manifest = record_manifest(directory)
@@ -1014,11 +1018,11 @@ def restore_record_indexed(
     if not 0 <= upto < count:
         raise RestoreError(f"checkpoint {upto} outside record of {count}")
 
-    frame_sizes = record_frame_sizes(directory)
+    frame_sizes = stored_frame_sizes(directory, manifest)
     record_bytes = int(sum(frame_sizes))
-    table = None if scrub else load_provenance(directory, upto=upto)
+    index = None if scrub else load_provenance_row(directory, upto, manifest)
 
-    if table is None:
+    if index is None:
         diffs = load_record(directory)
         restorer = IndexedRestorer(
             payload_codec=payload_codec, scrub=scrub, space=space
@@ -1036,18 +1040,13 @@ def restore_record_indexed(
         )
         return out, report
 
-    if (
-        table.total_checkpoints < count
-        or table.num_checkpoints <= upto
-        or table.data_len != manifest.get("data_len", table.data_len)
-    ):
+    if index.data_len != manifest.get("data_len", index.data_len):
         raise IntegrityError(
-            f"provenance index covers {table.total_checkpoints} checkpoints, "
-            f"record holds {count}"
+            f"provenance index describes {index.data_len}-byte checkpoints, "
+            f"record holds {manifest['data_len']}-byte ones"
         )
-    index = table.row(upto)
     refs = [int(t) for t in index.referenced()]
-    frames = load_record_frames(directory, refs)
+    frames = load_record_frames(directory, refs, manifest)
 
     def payload_of(t: int) -> np.ndarray:
         diff = frames[t]
@@ -1055,7 +1054,7 @@ def restore_record_indexed(
             return np.frombuffer(payload_codec.decompress(diff.payload), np.uint8)
         return np.frombuffer(diff.payload, dtype=np.uint8)
 
-    index_bytes = record_index_bytes(directory)
+    index_bytes = record_index_bytes(directory, manifest)
     report = RecordRestoreReport(
         target_ckpt=upto,
         frames_total=count,

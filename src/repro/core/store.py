@@ -267,7 +267,7 @@ class RecordWriter:
             self._builder = None
             return
         if isinstance(entry, dict) and "chain_sha256" in entry:
-            table = load_provenance(self.path)
+            table = load_provenance(self.path, existing)
             blob = index_path.read_bytes()
             _header, groups = _prov.scan_v3(blob, max_rows=int(entry["rows"]))
             for g in groups:
@@ -277,7 +277,7 @@ class RecordWriter:
         else:
             # Legacy v1/v2 blob: decode it for the builder seed; the
             # first append rewrites it in the v3 row-group layout.
-            table = load_provenance(self.path)
+            table = load_provenance(self.path, existing)
             self._index_legacy = True
         self._builder.seed(table)
 
@@ -659,7 +659,9 @@ def load_record(
 
 
 def load_record_frames(
-    directory: Union[str, Path], indices: Sequence[int]
+    directory: Union[str, Path],
+    indices: Sequence[int],
+    manifest: Optional[dict] = None,
 ) -> Dict[int, CheckpointDiff]:
     """Load + verify only the named checkpoint frames of a record.
 
@@ -667,9 +669,12 @@ def load_record_frames(
     provenance index names the frames whose payloads a checkpoint's bytes
     live in, and only those files are read and parsed.  Each frame still
     gets the full v2 treatment (manifest digest + embedded digest).
+    *manifest* is the record's already-parsed manifest, if the caller
+    holds one.
     """
     path = Path(directory)
-    manifest = _read_manifest(path)
+    if manifest is None:
+        manifest = _read_manifest(path)
     count = manifest["num_checkpoints"]
     digests = manifest.get("digests")
     frames: Dict[int, CheckpointDiff] = {}
@@ -701,25 +706,30 @@ def record_frame_sizes(directory: Union[str, Path]) -> List[int]:
     return sizes
 
 
-def load_provenance(directory: Union[str, Path], upto: Optional[int] = None):
-    """Load a record's persisted provenance index, if it has one.
+def stored_frame_sizes(directory: Union[str, Path], manifest: dict) -> List[int]:
+    """Byte size of each ``.rdif`` frame as the manifest records it.
 
-    Returns a :class:`~repro.core.provenance.ProvenanceTable`, or ``None``
-    when the record predates the index (v1 records, or chains that were
-    not indexable at save time).  A *present but damaged* index raises
-    :class:`IntegrityError` — callers choose whether to fall back.
+    Reads the manifest's ``frame_bytes`` list; only a manifest without
+    one (written before the list existed) costs a ``stat`` per frame.
+    """
+    sizes = manifest.get("frame_bytes")
+    if sizes is not None and len(sizes) == manifest["num_checkpoints"]:
+        return [int(s) for s in sizes]
+    return record_frame_sizes(directory)
 
-    With *upto*, a v3 (row-group) index is loaded *selectively*: only
-    the groups covering checkpoints ``0..upto`` are hashed and decoded,
-    so restoring checkpoint K never pays for — and is never blocked by
-    damage in — groups past K.  The manifest's ``chain_sha256`` over the
-    stored group digests is always checked in full (a structural walk,
-    no body decoding).  Legacy v1/v2 blobs ignore *upto*.
+
+def _read_index(path: Path, manifest: dict):
+    """Read the index file the manifest names and check what spans it.
+
+    Returns ``None`` for a record without an index.  A legacy v1/v2 blob
+    comes back as ``(blob, None)`` once its whole-file digest matched;
+    a v3 blob as ``(blob, (header, groups))`` once its header digest
+    (:func:`~repro.core.provenance.scan_v3`) and the manifest's
+    ``chain_sha256`` over every group digest matched.  Group bodies are
+    left for the caller to verify and decode.
     """
     from . import provenance as _prov  # local: store ↔ provenance
 
-    path = Path(directory)
-    manifest = _read_manifest(path)
     entry = manifest.get("provenance")
     if entry is None:
         return None
@@ -756,21 +766,7 @@ def load_provenance(directory: Union[str, Path], upto: Optional[int] = None):
                 f"{actual_chain[:16]}…)",
                 path=str(index_path),
             )
-        chosen = (
-            groups
-            if upto is None
-            else [g for g in groups if g.first_ckpt <= upto]
-        )
-        src_ckpt, src_off = _prov.decode_v3_groups(
-            blob, chosen, header["num_chunks"]
-        )
-        return _prov.ProvenanceTable(
-            data_len=header["data_len"],
-            chunk_size=header["chunk_size"],
-            src_ckpt=src_ckpt,
-            src_off=src_off,
-            index_rows=rows,
-        )
+        return blob, (header, groups)
 
     try:
         expected = str(entry["sha256"])
@@ -785,13 +781,90 @@ def load_provenance(directory: Union[str, Path], upto: Optional[int] = None):
             f"(manifest {expected[:16]}…, file {actual[:16]}…)",
             path=str(index_path),
         )
-    return _prov.ProvenanceTable.from_bytes(blob)
+    return blob, None
 
 
-def record_index_bytes(directory: Union[str, Path]) -> int:
+def load_provenance(
+    directory: Union[str, Path], manifest: Optional[dict] = None
+):
+    """Load a record's whole persisted provenance index, if it has one.
+
+    Returns a :class:`~repro.core.provenance.ProvenanceTable`, or ``None``
+    when the record predates the index (v1 records, or chains that were
+    not indexable at save time).  A *present but damaged* index raises
+    :class:`IntegrityError` — callers choose whether to fall back.  Every
+    row-group of a v3 index is verified and decoded; this is the
+    writer-reopen and attribution load.  A restore needs one row and
+    uses :func:`load_provenance_row`.
+    """
+    from . import provenance as _prov  # local: store ↔ provenance
+
+    path = Path(directory)
+    if manifest is None:
+        manifest = _read_manifest(path)
+    loaded = _read_index(path, manifest)
+    if loaded is None:
+        return None
+    blob, v3 = loaded
+    if v3 is None:
+        return _prov.ProvenanceTable.from_bytes(blob)
+    header, groups = v3
+    src_ckpt, src_off = _prov.decode_v3_groups(blob, groups, header["num_chunks"])
+    return _prov.ProvenanceTable(
+        data_len=header["data_len"],
+        chunk_size=header["chunk_size"],
+        src_ckpt=src_ckpt,
+        src_off=src_off,
+    )
+
+
+def load_provenance_row(
+    directory: Union[str, Path], ckpt_id: int, manifest: Optional[dict] = None
+):
+    """Load checkpoint *ckpt_id*'s provenance row, if the record has an index.
+
+    Returns a :class:`~repro.core.provenance.ProvenanceIndex`, or ``None``
+    for a record without an index.  Every row is resolved through the
+    whole chain at append time, so a restore needs its own row alone.
+    For a v3 index the structural walk, the header digest and the
+    manifest's ``chain_sha256`` over all group digests are checked in
+    full; then only the group holding the row is hashed and decoded.
+    Damage in any other group therefore cannot block this load
+    (:func:`verify_record` still reports it).  A legacy v1/v2 blob is
+    verified and decoded whole.  An index covering fewer checkpoints
+    than the record raises :class:`IntegrityError`.
+    """
+    from . import provenance as _prov  # local: store ↔ provenance
+
+    path = Path(directory)
+    if manifest is None:
+        manifest = _read_manifest(path)
+    loaded = _read_index(path, manifest)
+    if loaded is None:
+        return None
+    blob, v3 = loaded
+    if v3 is None:
+        table = _prov.ProvenanceTable.from_bytes(blob)
+        rows = table.num_checkpoints
+    else:
+        rows = int(manifest["provenance"]["rows"])
+    count = manifest["num_checkpoints"]
+    if rows < count:
+        raise IntegrityError(
+            f"provenance index covers {rows} checkpoints, record holds {count}"
+        )
+    if v3 is None:
+        return table.row(ckpt_id)
+    return _prov.decode_v3_row(blob, *v3, ckpt_id)
+
+
+def record_index_bytes(
+    directory: Union[str, Path], manifest: Optional[dict] = None
+) -> int:
     """On-disk byte size of the record's provenance index (0 if absent)."""
     path = Path(directory)
-    manifest = _read_manifest(path)
+    if manifest is None:
+        manifest = _read_manifest(path)
     entry = manifest.get("provenance")
     if entry is None:
         return 0
@@ -1014,13 +1087,13 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
             _verify_v3_index(path, entry, report)
         else:
             try:
-                table = load_provenance(path)
+                table = load_provenance(path, manifest)
             except (StorageError, SerializationError):
                 report.provenance_ok = False
             else:
                 report.provenance_ok = table is not None
                 if table is not None:
-                    report.index_bytes = record_index_bytes(path)
+                    report.index_bytes = record_index_bytes(path, manifest)
                     report.index_raw_bytes = table.raw_index_bytes
     return report
 
@@ -1029,8 +1102,9 @@ def _verify_v3_index(path: Path, entry: dict, report: RecordVerification) -> Non
     """Per-row-group integrity of a v3 index, reported not raised.
 
     Every group's digest is checked independently, so the report names
-    exactly which appends' rows are damaged — and an intact prefix is
-    still restorable via :func:`load_provenance`'s selective ``upto``.
+    exactly which appends' rows are damaged — while every checkpoint
+    whose own group is intact stays restorable, since a restore decodes
+    only its target's row (:func:`load_provenance_row`).
     """
     from . import provenance as _prov  # local: store ↔ provenance
     from .provenance import RAW_INDEX_BYTES_PER_CHUNK

@@ -33,11 +33,11 @@ import numpy as np
 from .. import telemetry
 from ..core.sharded_restore import ShardedRestorePlan, ShardReport
 from ..core.store import (
-    load_provenance,
+    load_provenance_row,
     load_record_frames,
-    record_frame_sizes,
     record_index_bytes,
     record_manifest,
+    stored_frame_sizes,
 )
 from ..errors import RestoreError
 from ..gpusim.cluster import ClusterSpec, thetagpu
@@ -107,15 +107,14 @@ def restore_record_sharded(
     if not 0 <= upto < count:
         raise RestoreError(f"checkpoint {upto} outside record of {count}")
 
-    # Selective row-group load: a sharded restore of checkpoint K never
-    # decodes index groups past K.
-    table = load_provenance(directory, upto=upto)
-    if table is None:
+    # Row load: a sharded restore of checkpoint K decodes index row K
+    # alone, never another row-group.
+    index = load_provenance_row(directory, upto, manifest)
+    if index is None:
         raise RestoreError(
             f"{directory} has no provenance index; sharded restore needs "
             f"one (restore_record_indexed falls back to replay)"
         )
-    index = table.row(upto)
 
     device = cluster.node.device
     contention = cluster.pcie_contention_for(num_ranks)
@@ -124,8 +123,8 @@ def restore_record_sharded(
     ) as span:
         plan = ShardedRestorePlan(index, num_ranks)
         refs = [int(t) for t in index.referenced()]
-        frame_sizes = record_frame_sizes(directory)
-        index_bytes = record_index_bytes(directory)
+        frame_sizes = stored_frame_sizes(directory, manifest)
+        index_bytes = record_index_bytes(directory, manifest)
         read_bytes = int(sum(frame_sizes[t] for t in refs)) + index_bytes
         read_seconds = read_bytes / cluster.pfs_bandwidth
         gather_seconds = plan.estimate_gather_seconds(device, contention)
@@ -153,7 +152,7 @@ def restore_record_sharded(
     # Cooperative read: every referenced frame is read once fleet-wide
     # (each rank gathers from the same host-staged payloads), priced at
     # the cluster's aggregate PFS bandwidth.
-    frames = load_record_frames(directory, refs)
+    frames = load_record_frames(directory, refs, manifest)
 
     def payload_of(t: int) -> np.ndarray:
         diff = frames[t]

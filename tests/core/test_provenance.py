@@ -6,6 +6,9 @@ replay — while touching only the checkpoints the target state actually
 references.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.core import (
     Restorer,
     indexed_restore_latest,
     load_provenance,
+    load_provenance_row,
     load_record,
     record_manifest,
     restore_record_indexed,
@@ -24,6 +28,8 @@ from repro.core import (
     verify_record,
 )
 from repro.core.dedup_full import FullCheckpoint
+from repro.core.provenance import ProvenanceIndex, materialize_index
+from repro.core.retention import rebase_record
 from repro.errors import IntegrityError, ReproError, RestoreError
 
 N = 64 * 80
@@ -323,3 +329,171 @@ class TestRecordRestore:
             assert report.target_ckpt == k
         with pytest.raises(RestoreError, match="outside record"):
             restore_record_indexed(tmp_path, upto=len(diffs))
+
+
+def _tail_chain(method, rng, steps=6, n=64 * 40 + 23):
+    """A tail-geometry chain (``n % CS != 0``) that rewrites the tail and
+    a scatter of chunks every step — for tree diffs the short tail region
+    pushes every later region to an unaligned payload offset."""
+    engine = ENGINES[method](n, CS)
+    buf = rng.integers(0, 256, n, dtype=np.uint8)
+    diffs = [engine.checkpoint(buf)]
+    states = [buf.copy()]
+    for _ in range(1, steps):
+        buf = buf.copy()
+        buf[-10:] = rng.integers(0, 256, 10, dtype=np.uint8)
+        for c in rng.choice(n // CS, 6, replace=False):
+            buf[c * CS + 5] ^= 0xFF
+        diffs.append(engine.checkpoint(buf))
+        states.append(buf.copy())
+    return diffs, states
+
+
+def _assert_row_equal(got, want):
+    assert got.ckpt_id == want.ckpt_id
+    assert (got.data_len, got.chunk_size) == (want.data_len, want.chunk_size)
+    assert np.array_equal(got.src_ckpt, want.src_ckpt)
+    assert np.array_equal(got.src_off, want.src_off)
+
+
+class TestRowLoader:
+    """``load_provenance_row`` against the in-memory table, row by row."""
+
+    @pytest.mark.parametrize("method", sorted(ENGINES))
+    @pytest.mark.parametrize("chain", [_chain, _tail_chain])
+    def test_every_row_matches_from_diffs(self, method, chain, rng, tmp_path):
+        diffs, _ = chain(method, rng)
+        save_record(diffs, tmp_path)
+        table = ProvenanceTable.from_diffs(diffs)
+        for k in range(len(diffs)):
+            _assert_row_equal(load_provenance_row(tmp_path, k), table.row(k))
+
+    def test_rebased_chain(self, rng, tmp_path):
+        diffs, _ = _tail_chain("tree", rng, steps=8)
+        rebased, table = rebase_record(diffs, 3, with_index=True)
+        save_record(rebased, tmp_path, provenance=table)
+        want = ProvenanceTable.from_diffs(rebased)
+        for k in range(len(rebased)):
+            _assert_row_equal(load_provenance_row(tmp_path, k), want.row(k))
+
+    def test_legacy_blob_falls_back_to_full_decode(self, rng, tmp_path):
+        diffs, _ = _chain("tree", rng)
+        save_record(diffs, tmp_path)
+        table = ProvenanceTable.from_diffs(diffs)
+        blob = table.to_bytes()  # RPIX v2, whole-file digest
+        (tmp_path / "provenance.rpix").write_bytes(blob)
+        manifest_path = tmp_path / "record.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["provenance"] = {
+            "file": "provenance.rpix",
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        for k in range(len(diffs)):
+            _assert_row_equal(load_provenance_row(tmp_path, k), table.row(k))
+
+    def test_unindexed_record_has_no_row(self, rng, tmp_path):
+        b = rng.integers(0, 256, N, dtype=np.uint8)
+        save_record([FullCheckpoint(N, CS).checkpoint(b)], tmp_path)
+        (tmp_path / "provenance.rpix").unlink()
+        manifest = json.loads((tmp_path / "record.json").read_text())
+        del manifest["provenance"]
+        (tmp_path / "record.json").write_text(json.dumps(manifest))
+        assert load_provenance_row(tmp_path, 0) is None
+
+    def test_row_outside_index_rejected(self, rng, tmp_path):
+        diffs, _ = _chain("list", rng)
+        save_record(diffs, tmp_path)
+        with pytest.raises(RestoreError, match="outside indexed chain"):
+            load_provenance_row(tmp_path, len(diffs))
+
+    def test_index_shorter_than_record_rejected(self, rng, tmp_path):
+        diffs, _ = _chain("tree", rng)
+        save_record(diffs, tmp_path)
+        manifest_path = tmp_path / "record.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["num_checkpoints"] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IntegrityError, match="covers"):
+            load_provenance_row(tmp_path, 0)
+
+
+class TestWholeChunkGather:
+    """Gathers at arbitrary (unaligned) payload offsets stay bit-exact."""
+
+    @pytest.mark.parametrize("method", ["list", "tree"])
+    def test_unaligned_record_restores_match_replay(self, method, rng, tmp_path):
+        diffs, states = _tail_chain(method, rng, steps=8)
+        table = ProvenanceTable.from_diffs(diffs)
+        full = diffs[0].data_len // CS
+        if method == "tree":
+            # The geometry really does produce unaligned source offsets.
+            assert np.any(table.src_off[:, :full] % CS)
+        save_record(diffs, tmp_path)
+        replayed = Restorer().restore_all(diffs)
+        for k in range(len(diffs)):
+            out, report = restore_record_indexed(tmp_path, upto=k)
+            assert report.used_index
+            assert np.array_equal(out, replayed[k])
+            assert np.array_equal(out, states[k])
+
+    @pytest.mark.parametrize("data_len", [64 * 50, 64 * 50 + 17])
+    def test_random_offsets_match_bytewise_copy(self, data_len, rng):
+        # Any byte offset into any source payload, in any order: the
+        # whole-chunk gather must equal a chunk-by-chunk reference copy.
+        n_chunks = -(-data_len // CS)
+        payloads = {
+            t: rng.integers(0, 256, 64 * 30 + 7, dtype=np.uint8) for t in range(3)
+        }
+        src_ckpt = rng.integers(-1, 3, n_chunks).astype(np.int32)
+        src_off = np.empty(n_chunks, dtype=np.int64)
+        want = np.zeros(data_len, dtype=np.uint8)
+        for c in range(n_chunks):
+            lo, hi = c * CS, min((c + 1) * CS, data_len)
+            src_off[c] = rng.integers(0, 64 * 29)
+            if src_ckpt[c] >= 0:
+                off = int(src_off[c])
+                want[lo:hi] = payloads[int(src_ckpt[c])][off : off + hi - lo]
+        index = ProvenanceIndex(
+            ckpt_id=0,
+            data_len=data_len,
+            chunk_size=CS,
+            src_ckpt=src_ckpt,
+            src_off=src_off,
+        )
+        assert np.array_equal(materialize_index(index, payloads.__getitem__), want)
+        lo, hi = n_chunks // 3, 2 * n_chunks // 3
+        part = np.full(data_len, 0xAA, dtype=np.uint8)
+        materialize_index(
+            index, payloads.__getitem__, out=part, chunk_lo=lo, chunk_hi=hi
+        )
+        assert np.array_equal(part[lo * CS : hi * CS], want[lo * CS : hi * CS])
+
+
+class TestManifestReadOnce:
+    def test_restore_parses_the_manifest_once(self, rng, tmp_path, monkeypatch):
+        from repro.core import store
+
+        diffs, states = _chain("tree", rng)
+        save_record(diffs, tmp_path)
+        calls = []
+        real = store._read_manifest
+        monkeypatch.setattr(
+            store, "_read_manifest", lambda path: calls.append(path) or real(path)
+        )
+        out, report = restore_record_indexed(tmp_path, upto=3)
+        assert np.array_equal(out, states[3])
+        assert len(calls) == 1
+        sizes = [p.stat().st_size for p in sorted(tmp_path.glob("ckpt-*.rdif"))]
+        assert report.record_bytes == sum(sizes)
+
+    def test_frame_sizes_stat_only_without_manifest_list(self, rng, tmp_path):
+        from repro.core import stored_frame_sizes
+
+        diffs, _ = _chain("list", rng)
+        save_record(diffs, tmp_path)
+        manifest = record_manifest(tmp_path)
+        want = [d.serialized_size for d in diffs]
+        assert stored_frame_sizes(tmp_path, manifest) == want
+        del manifest["frame_bytes"]
+        assert stored_frame_sizes(tmp_path, manifest) == want

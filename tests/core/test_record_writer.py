@@ -8,6 +8,8 @@ import pytest
 
 from repro.core import ENGINES, RecordWriter, Restorer
 from repro.core.provenance import (
+    _GROUP_HEADER,
+    V3_PROLOGUE_BYTES,
     ProvenanceTable,
     restore_record_indexed,
     scan_v3,
@@ -258,6 +260,67 @@ class TestRowGroupDamage:
         # At or past the damage, the mismatch is detected loudly.
         with pytest.raises(IntegrityError):
             restore_record_indexed(tmp_path / "rec", upto=4)
+
+    @pytest.mark.parametrize("damaged", [0, 2, 4])
+    def test_damage_elsewhere_never_blocks_a_restore(self, damaged, rng, tmp_path):
+        # A restore decodes its own row-group only: damage in group j
+        # blocks checkpoint j alone, before or after the target alike.
+        diffs = _chain("tree", 6, rng)
+        save_record(diffs, tmp_path / "rec", method="tree")
+        self._damage_group(tmp_path / "rec", damaged)
+        replayed = Restorer().restore_all(diffs)
+        for k in range(len(diffs)):
+            if k == damaged:
+                with pytest.raises(IntegrityError, match="row-group"):
+                    restore_record_indexed(tmp_path / "rec", upto=k)
+                continue
+            out, report = restore_record_indexed(tmp_path / "rec", upto=k)
+            assert report.used_index
+            assert np.array_equal(out, replayed[k])
+        report = verify_record(tmp_path / "rec")
+        assert report.provenance_ok is False
+        assert report.index_bad_groups == [damaged]
+
+    def _swap_groups(self, directory, i, j, redigest):
+        """Exchange row-groups *i* < *j*, renumbering each to its new slot.
+
+        With *redigest* every group self-verifies after the swap (only
+        the manifest chain digest can tell); without it the two groups'
+        stored digests no longer match their renumbered contents.
+        """
+        index_path = directory / "provenance.rpix"
+        blob = index_path.read_bytes()
+        _header, groups = scan_v3(blob)
+        records = []
+        for g in groups:
+            body = blob[g.body_off : g.body_off + g.body_len]
+            records.append((g.num_rows, g.digest, body))
+        records[i], records[j] = records[j], records[i]
+        parts = [blob[:V3_PROLOGUE_BYTES]]
+        first = 0
+        for rows, digest, body in records:
+            if redigest:
+                digest = hashlib.sha256(
+                    first.to_bytes(4, "little") + rows.to_bytes(4, "little") + body
+                ).digest()
+            parts.append(_GROUP_HEADER.pack(len(body), first, rows, digest) + body)
+            first += rows
+        index_path.write_bytes(b"".join(parts))
+
+    @pytest.mark.parametrize("redigest", [True, False])
+    def test_chain_digest_catches_group_reorder(self, redigest, rng, tmp_path):
+        diffs = _chain("tree", 6, rng)
+        save_record(diffs, tmp_path / "rec", method="tree")
+        self._swap_groups(tmp_path / "rec", 1, 3, redigest)
+        # Every group is reachable structurally, but the manifest's chain
+        # digest over the stored group digests refuses every restore —
+        # including ones whose own group was not moved.
+        for k in range(len(diffs)):
+            with pytest.raises(IntegrityError, match="chain digest"):
+                restore_record_indexed(tmp_path / "rec", upto=k)
+        report = verify_record(tmp_path / "rec")
+        assert report.provenance_ok is False
+        assert report.index_bad_groups == ([] if redigest else [1, 3])
 
     def test_chain_digest_catches_group_swap(self, rng, tmp_path):
         diffs = _chain("tree", 4, rng)
