@@ -58,12 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    IncrementalCheckpointer,
-    SelectiveRestorer,
-    composition_report,
-    verify_chain,
-)
+from .core import IncrementalCheckpointer, composition_report, verify_chain
 from .core.store import load_record, record_manifest, save_record, verify_record
 from .utils.rng import seeded_rng
 from .utils.units import format_bytes, format_ratio
@@ -225,23 +220,13 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.replay:
-        diffs = load_record(args.record)
-        upto = args.checkpoint if args.checkpoint is not None else len(diffs) - 1
-        buffer, plan = SelectiveRestorer().restore(diffs, upto)
-        Path(args.output).write_bytes(buffer.tobytes())
-        print(
-            f"checkpoint {upto} → {args.output} ({format_bytes(buffer.nbytes)}); "
-            f"read {format_bytes(plan.total_bytes_read)} from "
-            f"{plan.diffs_touched} diffs in {plan.segments} segments"
-        )
-        return 0
-
     from .core.provenance import restore_record_indexed
 
-    buffer, report = restore_record_indexed(args.record, upto=args.checkpoint)
+    buffer, report = restore_record_indexed(
+        args.record, upto=args.checkpoint, scrub=args.replay
+    )
     Path(args.output).write_bytes(buffer.tobytes())
-    path_name = "indexed" if report.used_index else "replay fallback (no index)"
+    path_name = "indexed" if report.used_index else "in-memory index (all frames)"
     print(
         f"checkpoint {report.target_ckpt} → {args.output} "
         f"({format_bytes(buffer.nbytes)}) via {path_name}"
@@ -668,7 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         dest="replay",
         action="store_true",
-        help="selective chain replay (works on records without an index)",
+        help="ignore the persisted index: read and scrub every frame, "
+        "then index the chain in memory (works when provenance.rpix is "
+        "missing or damaged)",
     )
     restore.add_argument(
         "--ranks", type=int, default=1,

@@ -54,7 +54,6 @@ from .retention import (
     rebase_stored_record,
     required_payloads,
 )
-from .selective import RestorePlan, SelectiveRestorer, selective_restore
 from .sharded_restore import (
     ShardedRestorePlan,
     ShardReport,
@@ -142,9 +141,6 @@ __all__ = [
     "rebase_record",
     "rebase_stored_record",
     "required_payloads",
-    "RestorePlan",
-    "SelectiveRestorer",
-    "selective_restore",
     "ShardedRestorePlan",
     "ShardReport",
     "ShardSpec",

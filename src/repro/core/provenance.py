@@ -26,8 +26,10 @@ digest discipline as the ``.rdif`` frames.
 The composition relies on the engines' serialization invariant (§2.2):
 shifted-duplicate references point at content stored as a first
 occurrence, never at bytes another shifted duplicate of the same diff
-wrote.  Every restore path in the test suite asserts bit-identity against
-chain replay.
+wrote.  :meth:`ProvenanceBuilder.append` enforces it (a reference whose
+chunks do not resolve into the referenced checkpoint's own payload is a
+corrupt chain), and every restore path in the test suite asserts
+bit-identity against chain replay.
 """
 
 from __future__ import annotations
@@ -241,6 +243,8 @@ class ProvenanceBuilder:
                 raise RestoreError(
                     f"checkpoint length changed mid-chain at {k}"
                 )
+            if prev.chunk_size != diff.chunk_size:
+                raise RestoreError(f"chunk size changed mid-chain at {k}")
             src_ckpt = prev.src_ckpt.copy()
             src_off = prev.src_off.copy()
         else:
@@ -275,7 +279,18 @@ class ProvenanceBuilder:
                     else:
                         ref_index = self.indexes[int(t)]
                         s_ck, s_off = ref_index.src_ckpt, ref_index.src_off
-                    src_ckpt[dst[sel]] = s_ck[src[sel]]
+                    sources = s_ck[src[sel]]
+                    # §2.2: a shifted reference (t, src) names chunks
+                    # stored in checkpoint t's own payload.  Anything
+                    # else (e.g. two shifts of one diff pointing at each
+                    # other) is a corrupt chain.
+                    if np.any(sources != t):
+                        raise RestoreError(
+                            f"shifted duplicate in checkpoint {k} references "
+                            f"chunks of checkpoint {int(t)} that are not "
+                            f"stored in its payload"
+                        )
+                    src_ckpt[dst[sel]] = sources
                     src_off[dst[sel]] = s_off[src[sel]]
 
         index = ProvenanceIndex(

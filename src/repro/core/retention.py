@@ -7,7 +7,9 @@ module provides the two primitives that make truncation safe:
 * :func:`payload_dependencies` — which diffs' *payloads* are actually
   needed to materialise a given checkpoint (metadata of every earlier
   diff is always needed to resolve fixed pass-through, but payloads of
-  untouched diffs can live on cold storage or be dropped by a rebase);
+  untouched diffs can live on cold storage or be dropped by a rebase).
+  The answer is read off the checkpoint's provenance row, so no payload
+  is touched;
 
 * :func:`rebase_record` — rewrite the chain so checkpoint *at* becomes a
   new full checkpoint 0 and every later diff is remapped onto the new
@@ -39,26 +41,41 @@ from ..telemetry import events
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
 from .merkle import TreeLayout
+from .provenance import ProvenanceBuilder, ProvenanceTable
 from .restore import Restorer
-from .selective import SelectiveRestorer
+
+
+def _provenance_rows(
+    diffs: Sequence[CheckpointDiff], upto: int
+) -> ProvenanceBuilder:
+    """Builder composed over ``diffs[: upto + 1]`` (metadata only)."""
+    if len(diffs) == 0:
+        raise RestoreError("cannot analyse an empty diff chain")
+    if not 0 <= upto < len(diffs):
+        raise RestoreError(f"checkpoint {upto} outside chain of {len(diffs)}")
+    builder = ProvenanceBuilder()
+    builder.extend(diffs[: upto + 1])
+    return builder
 
 
 def payload_dependencies(
     diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
 ) -> Set[int]:
     """Checkpoint ids whose payload bytes contribute to checkpoint *upto*."""
-    _, plan = SelectiveRestorer().restore(diffs, upto)
-    return set(plan.payload_bytes_read)
+    if upto is None:
+        upto = len(diffs) - 1
+    index = _provenance_rows(diffs, upto).index_for(upto)
+    return {int(t) for t in index.referenced()}
 
 
 def required_payloads(
     diffs: Sequence[CheckpointDiff], keep: Sequence[int]
 ) -> Set[int]:
     """Union of payload dependencies over every checkpoint in *keep*."""
-    needed: Set[int] = set()
-    for k in keep:
-        needed |= payload_dependencies(diffs, k)
-    return needed
+    if len(keep) == 0:
+        return set()
+    builder = _provenance_rows(diffs, max(keep))
+    return {int(t) for k in keep for t in builder.index_for(k).referenced()}
 
 
 def rebase_record(
@@ -110,8 +127,6 @@ def rebase_record(
         )
     if not with_index:
         return out
-    from .provenance import ProvenanceTable  # local: retention ↔ provenance
-
     try:
         table = ProvenanceTable.from_diffs(out)
     except ReproError:

@@ -28,6 +28,7 @@ from repro.core import (
     verify_record,
 )
 from repro.core.dedup_full import FullCheckpoint
+from repro.core.diff import CheckpointDiff
 from repro.core.provenance import ProvenanceIndex, materialize_index
 from repro.core.retention import rebase_record
 from repro.errors import IntegrityError, ReproError, RestoreError
@@ -121,6 +122,87 @@ class TestBuilderValidation:
         builder = ProvenanceBuilder()
         with pytest.raises(RestoreError, match="not reconstructed yet"):
             builder.extend(diffs)
+
+    @staticmethod
+    def _base(rng, n=256, cs=64):
+        return CheckpointDiff(
+            method="full", ckpt_id=0, data_len=n, chunk_size=cs,
+            payload=bytes(rng.integers(0, 256, n, dtype=np.uint8)),
+        )
+
+    def test_chunk_size_change_rejected(self, rng):
+        d0 = self._base(rng)
+        d1 = CheckpointDiff(
+            method="full", ckpt_id=1, data_len=256, chunk_size=32,
+            payload=bytes(256),
+        )
+        with pytest.raises(RestoreError, match="chunk size changed mid-chain at 1"):
+            IndexedRestorer().restore([d0, d1])
+
+    def test_cyclic_shift_references_rejected(self, rng):
+        # Two shifted chunks referencing each other within checkpoint 1:
+        # neither is stored in checkpoint 1's payload.
+        d1 = CheckpointDiff(
+            method="list", ckpt_id=1, data_len=256, chunk_size=64,
+            shift_ids=np.array([0, 1], dtype=np.uint32),
+            shift_ref_ids=np.array([1, 0], dtype=np.uint32),
+            shift_ref_ckpts=np.array([1, 1], dtype=np.uint32),
+        )
+        with pytest.raises(RestoreError, match="checkpoint 1 references"):
+            IndexedRestorer().restore([self._base(rng), d1])
+
+    def test_shift_into_unstored_chunk_of_earlier_checkpoint_rejected(self, rng):
+        # Checkpoint 1 stores only chunk 0; chunk 2 passes through from 0,
+        # so checkpoint 2 may not name (1, chunk 2) as its shift source.
+        d1 = CheckpointDiff(
+            method="list", ckpt_id=1, data_len=256, chunk_size=64,
+            first_ids=np.array([0], dtype=np.uint32), payload=bytes(64),
+        )
+        d2 = CheckpointDiff(
+            method="list", ckpt_id=2, data_len=256, chunk_size=64,
+            shift_ids=np.array([3], dtype=np.uint32),
+            shift_ref_ids=np.array([2], dtype=np.uint32),
+            shift_ref_ckpts=np.array([1], dtype=np.uint32),
+        )
+        chain = [self._base(rng), d1, d2]
+        fine = IndexedRestorer().restore(chain, upto=1)
+        assert np.array_equal(fine, Restorer().restore(chain, 1))
+        with pytest.raises(RestoreError, match="2 references chunks of checkpoint 1"):
+            IndexedRestorer().restore(chain)
+
+
+class TestIndexedRestoreAccounting:
+    """What :class:`IndexedRestoreReport` says one restore read."""
+
+    @pytest.mark.parametrize("n", [N, N + 17], ids=["aligned", "tail"])
+    def test_reads_exactly_data_len(self, rng, n):
+        diffs, _ = _chain("tree", rng, n=n)
+        for k in range(len(diffs)):
+            _, report = IndexedRestorer().restore_with_report(diffs, k)
+            assert report.total_payload_bytes_read == n
+
+    def test_reads_less_than_whole_chain_payload(self, rng):
+        diffs, _ = _chain("tree", rng)
+        _, report = IndexedRestorer().restore_with_report(diffs)
+        assert report.total_payload_bytes_read < sum(d.payload_bytes for d in diffs)
+
+    def test_checkpoint_zero_reads_only_itself(self, rng):
+        diffs, _ = _chain("tree", rng)
+        _, report = IndexedRestorer().restore_with_report(diffs, 0)
+        assert report.payload_bytes_read == {0: N}
+
+    def test_unchanged_checkpoints_read_only_base(self, rng):
+        data = rng.integers(0, 256, N, dtype=np.uint8)
+        engine = ENGINES["tree"](N, CS)
+        diffs = [engine.checkpoint(data) for _ in range(4)]
+        _, report = IndexedRestorer().restore_with_report(diffs)
+        assert report.payload_bytes_read == {0: N}
+
+    def test_full_chain_references_one_frame(self, rng):
+        diffs, _ = _chain("full", rng)
+        _, report = IndexedRestorer().restore_with_report(diffs)
+        assert report.frames_referenced == 1
+        assert report.payload_bytes_read == {len(diffs) - 1: N}
 
 
 class TestTablePersistence:

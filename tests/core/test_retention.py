@@ -1,12 +1,15 @@
 """Tests for lineage retention: dependency analysis and rebase."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import (
     ENGINES,
+    IndexedRestorer,
     Restorer,
-    SelectiveRestorer,
+    TreeDedup,
     payload_dependencies,
     rebase_record,
     required_payloads,
@@ -15,9 +18,7 @@ from repro.core import (
 from repro.errors import RestoreError
 
 
-@pytest.fixture
-def stream(rng):
-    n = 64 * 150 + 21
+def make_stream(rng, n):
     base = rng.integers(0, 256, n, dtype=np.uint8)
     out = [base.copy()]
     cur = base
@@ -30,6 +31,11 @@ def stream(rng):
         cur[d : d + 1500] = cur[s : s + 1500]
         out.append(cur.copy())
     return out
+
+
+@pytest.fixture
+def stream(rng):
+    return make_stream(rng, 64 * 150 + 21)
 
 
 def chain(stream, method="tree"):
@@ -60,6 +66,92 @@ class TestDependencies:
             diffs, 4
         )
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(RestoreError, match="empty"):
+            payload_dependencies([])
+
+    def test_out_of_range_rejected(self, stream):
+        diffs = chain(stream)
+        with pytest.raises(RestoreError, match="outside chain"):
+            payload_dependencies(diffs, len(diffs))
+        with pytest.raises(RestoreError, match="outside chain"):
+            required_payloads(diffs, [1, len(diffs)])
+
+
+def _inverted(diffs, t, codec=None):
+    """The chain with every byte of diff *t*'s (decoded) payload inverted."""
+    hybrid = codec is not None and diffs[t].method == "tree"
+    raw = codec.decompress(diffs[t].payload) if hybrid else diffs[t].payload
+    flipped = (np.frombuffer(raw, dtype=np.uint8) ^ 0xFF).tobytes()
+    if hybrid:
+        flipped = codec.compress(flipped)
+    out = list(diffs)
+    out[t] = replace(diffs[t], payload=flipped)
+    return out
+
+
+def assert_dependencies_match_replay(diffs, codec=None):
+    """Diff t's payload matters to checkpoint k iff t is a dependency.
+
+    Inverting every payload byte of diff t changes the replayed
+    checkpoint k exactly when some byte of k is read from that payload,
+    so replay is an oracle for :func:`payload_dependencies`.
+    """
+    restorer = Restorer(payload_codec=codec)
+    base = restorer.restore_all(diffs)
+    deps = [payload_dependencies(diffs, k) for k in range(len(diffs))]
+    for t in range(len(diffs)):
+        perturbed = restorer.restore_all(_inverted(diffs, t, codec))
+        for k in range(t, len(diffs)):
+            changed = not np.array_equal(perturbed[k], base[k])
+            assert changed == (t in deps[k]), (t, k, deps[k])
+    for keep in ([0], [len(diffs) - 1], [1, len(diffs) - 1], range(len(diffs))):
+        union = set().union(*(deps[k] for k in keep))
+        assert required_payloads(diffs, list(keep)) == union
+
+
+class TestDependenciesMatchReplay:
+    @pytest.mark.parametrize("n", [64 * 150, 64 * 150 + 21], ids=["aligned", "tail"])
+    @pytest.mark.parametrize("method", sorted(ENGINES))
+    def test_engines(self, rng, method, n):
+        assert_dependencies_match_replay(chain(make_stream(rng, n), method))
+
+    @pytest.mark.parametrize("method", sorted(ENGINES))
+    def test_rebased_chain(self, stream, method):
+        assert_dependencies_match_replay(rebase_record(chain(stream, method), 2))
+
+    def test_oranges_trace(self):
+        from repro.oranges import OrangesApp
+
+        app = OrangesApp("unstructured_mesh", num_vertices=512, seed=2)
+        engine = app.fresh_engine()
+        tree = TreeDedup(engine.buffer_nbytes, 64)
+        diffs = [
+            tree.checkpoint(snap.reshape(-1).view(np.uint8))
+            for snap in engine.checkpoint_stream(5)
+        ]
+        assert any(d.num_shift for d in diffs)
+        assert_dependencies_match_replay(diffs)
+
+    def test_hybrid_compressed_chain(self, rng):
+        """Dependencies come from metadata alone, so a deflate-hybrid
+        chain (payloads stored compressed) needs no codec to analyse."""
+        from repro.compress import get_codec
+
+        codec = get_codec("deflate")
+        n = 64 * 64
+        engine = ENGINES["tree"](n, 64, payload_codec=codec)
+        cur = rng.integers(0, 4, n, dtype=np.uint8)  # compressible
+        diffs = [engine.checkpoint(cur)]
+        for step in range(1, 5):
+            cur = cur.copy()
+            cur[step * 512 : step * 512 + 300] = rng.integers(0, 4, 300, dtype=np.uint8)
+            if step == 3:  # shifted duplicates of checkpoints 0 and 1
+                cur[64 * 40 : 64 * 48] = cur[64 * 4 : 64 * 12]
+            diffs.append(engine.checkpoint(cur))
+        assert diffs[3].num_shift
+        assert_dependencies_match_replay(diffs, codec=codec)
+
 
 @pytest.mark.parametrize("method", sorted(ENGINES))
 class TestRebase:
@@ -82,9 +174,9 @@ class TestRebase:
         diffs = chain(stream, method)
         rebased = rebase_record(diffs, 2)
         chain_out = Restorer().restore_all(rebased)
+        restorer = IndexedRestorer()
         for k in range(len(rebased)):
-            buf, _ = SelectiveRestorer().restore(rebased, k)
-            assert np.array_equal(buf, chain_out[k])
+            assert np.array_equal(restorer.restore(rebased, k), chain_out[k])
 
 
 class TestRebaseProperties:

@@ -1,10 +1,16 @@
-"""Tests for the selective (scalable) reconstruction engine."""
+"""Selective reconstruction of a single checkpoint from a diff chain.
+
+Selective restore is served by the provenance-indexed engine
+(:class:`~repro.core.IndexedRestorer`): it reads only the payload bytes
+the target state references instead of replaying the chain.  These tests
+check it against chain replay on a stream with unaligned shifted copies,
+and its error paths.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import ENGINES, Restorer, SelectiveRestorer, selective_restore
-from repro.core.diff import CheckpointDiff
+from repro.core import ENGINES, IndexedRestorer, Restorer, indexed_restore_latest
 from repro.errors import RestoreError
 
 
@@ -32,92 +38,32 @@ class TestAgreementWithChainRestore:
         engine = ENGINES[method](n, 64)
         diffs = [engine.checkpoint(c) for c in stream]
         chain = Restorer().restore_all(diffs)
-        restorer = SelectiveRestorer()
+        restorer = IndexedRestorer()
         for k in range(len(stream)):
-            buf, _plan = restorer.restore(diffs, k)
+            buf = restorer.restore(diffs, upto=k)
             assert np.array_equal(buf, chain[k]), f"ckpt {k}"
-
-
-class TestPlanAccounting:
-    def make_diffs(self, stream, method="tree"):
-        engine = ENGINES[method](stream[0].shape[0], 64)
-        return [engine.checkpoint(c) for c in stream]
-
-    def test_reads_exactly_data_len(self, stream):
-        """Every output byte is read exactly once from some payload."""
-        diffs = self.make_diffs(stream)
-        _, plan = SelectiveRestorer().restore(diffs)
-        assert plan.total_bytes_read == stream[0].shape[0]
-
-    def test_beats_naive_chain_io(self, stream):
-        diffs = self.make_diffs(stream)
-        _, plan = SelectiveRestorer().restore(diffs)
-        naive = sum(d.payload_bytes for d in diffs)
-        assert plan.total_bytes_read < naive
-
-    def test_restore_of_checkpoint_zero_touches_one_diff(self, stream):
-        diffs = self.make_diffs(stream)
-        _, plan = SelectiveRestorer().restore(diffs, 0)
-        assert plan.diffs_touched == 1
-        assert plan.payload_bytes_read == {0: stream[0].shape[0]}
-
-    def test_unchanged_checkpoints_read_only_base(self, rng):
-        n = 64 * 50
-        data = rng.integers(0, 256, n, dtype=np.uint8)
-        engine = ENGINES["tree"](n, 64)
-        diffs = [engine.checkpoint(data) for _ in range(4)]
-        _, plan = SelectiveRestorer().restore(diffs)
-        assert plan.payload_bytes_read == {0: n}
-        assert plan.max_depth == 0
-
-    def test_full_method_single_segment(self, stream):
-        diffs = self.make_diffs(stream, method="full")
-        _, plan = SelectiveRestorer().restore(diffs)
-        assert plan.segments == 1
-        assert plan.diffs_touched == 1
+            assert np.array_equal(buf, stream[k]), f"ckpt {k}"
 
 
 class TestErrors:
     def test_empty_chain(self):
         with pytest.raises(RestoreError):
-            SelectiveRestorer().restore([])
+            IndexedRestorer().restore([])
 
     def test_out_of_range(self, stream):
-        diffs = []
         engine = ENGINES["tree"](stream[0].shape[0], 64)
         diffs = [engine.checkpoint(c) for c in stream[:2]]
         with pytest.raises(RestoreError):
-            SelectiveRestorer().restore(diffs, 5)
+            IndexedRestorer().restore(diffs, upto=5)
 
     def test_out_of_order_chain(self, stream):
         engine = ENGINES["tree"](stream[0].shape[0], 64)
         diffs = [engine.checkpoint(c) for c in stream[:2]]
         with pytest.raises(RestoreError):
-            SelectiveRestorer().restore([diffs[1]])
-
-    def test_cyclic_reference_detected(self, rng):
-        n = 256
-        d0 = CheckpointDiff(
-            method="full", ckpt_id=0, data_len=n, chunk_size=64,
-            payload=bytes(rng.integers(0, 256, n, dtype=np.uint8)),
-        )
-        # Two shifted chunks referencing each other within checkpoint 1.
-        d1 = CheckpointDiff(
-            method="list", ckpt_id=1, data_len=n, chunk_size=64,
-            shift_ids=np.array([0, 1], dtype=np.uint32),
-            shift_ref_ids=np.array([1, 0], dtype=np.uint32),
-            shift_ref_ckpts=np.array([1, 1], dtype=np.uint32),
-        )
-        with pytest.raises(RestoreError):
-            SelectiveRestorer().restore([d0, d1])
+            IndexedRestorer().restore([diffs[1]])
 
 
 class TestHelpers:
-    def test_selective_restore_wrapper(self, stream):
-        engine = ENGINES["tree"](stream[0].shape[0], 64)
-        diffs = [engine.checkpoint(c) for c in stream]
-        assert np.array_equal(selective_restore(diffs, 2), stream[2])
-
     def test_with_payload_codec(self, rng):
         from repro.compress import get_codec
 
@@ -129,5 +75,5 @@ class TestHelpers:
         nxt = base.copy()
         nxt[:512] = rng.integers(0, 4, 512, dtype=np.uint8)
         diffs.append(engine.checkpoint(nxt))
-        out = selective_restore(diffs, payload_codec=codec)
+        out = indexed_restore_latest(diffs, payload_codec=codec)
         assert np.array_equal(out, nxt)

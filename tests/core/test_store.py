@@ -305,6 +305,22 @@ class TestCli:
         assert main(["restore", str(rec), "-k", "1", "-o", str(out)]) == 0
         assert out.stat().st_size == 65536
 
+    def test_restore_replay_ignores_damaged_index(self, diffs, tmp_path, capsys):
+        from repro.cli import main
+
+        path = save_record(diffs, tmp_path / "rec", method="tree")
+        index = path / "provenance.rpix"
+        blob = bytearray(index.read_bytes())
+        blob[-3] ^= 0x01  # inside the latest checkpoint's row group
+        index.write_bytes(bytes(blob))
+        out = tmp_path / "out.bin"
+        with pytest.raises(IntegrityError):
+            main(["restore", str(path), "-o", str(out)])
+        assert main(["restore", str(path), "-o", str(out), "--replay"]) == 0
+        expected = Restorer().restore(diffs, len(diffs) - 1)
+        assert out.read_bytes() == expected.tobytes()
+        assert "parsed 2/2 frames" in capsys.readouterr().out
+
     def test_demo_methods(self, capsys):
         from repro.cli import main
 

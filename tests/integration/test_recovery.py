@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Restorer, SelectiveRestorer, TreeDedup
+from repro.core import Restorer, TreeDedup, restore_record_indexed
 from repro.core.store import load_record, save_record, verify_record
 from repro.errors import GraphError
 from repro.graphs import generate
@@ -47,8 +47,8 @@ class TestResumeThroughRecord:
             if len(frontiers) == 4:
                 break
         save_record(ckpt.record.diffs, tmp_path / "rec")
-        diffs = load_record(tmp_path / "rec")
-        state, _ = SelectiveRestorer().restore(diffs)
+        state, report = restore_record_indexed(tmp_path / "rec")
+        assert report.used_index
 
         resumed = GdvEngine(graph, 4)
         resumed.load_state(state, frontiers[-1])

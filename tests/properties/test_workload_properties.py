@@ -1,4 +1,4 @@
-"""Property-based tests over random graphs: GDV identities, selective
+"""Property-based tests over random graphs: GDV identities, indexed
 restore agreement, and analysis invariants."""
 
 import networkx as nx
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ENGINES, Restorer, analyze_record, selective_restore, verify_chain
+from repro.core import ENGINES, IndexedRestorer, Restorer, analyze_record, verify_chain
 from repro.graphs import Graph
 from repro.oranges import GdvEngine, orbit_counts_0_to_3
 
@@ -90,11 +90,12 @@ def diff_chains(draw):
 
 @given(diff_chains())
 @settings(**_SETTINGS)
-def test_selective_equals_chain_restore(case):
+def test_indexed_equals_chain_restore(case):
     stream, diffs = case
     chain = Restorer().restore_all(diffs)
+    restorer = IndexedRestorer()
     for k in range(len(diffs)):
-        assert np.array_equal(selective_restore(diffs, k), chain[k])
+        assert np.array_equal(restorer.restore(diffs, k), chain[k])
         assert np.array_equal(chain[k], stream[k])
 
 
